@@ -205,6 +205,9 @@ type Engine struct {
 	gangN      int
 	gangMorsel int
 	scatter    *ht.ScatterPool
+	// selPool is the per-worker scratch the generic Select pipeline
+	// borrows for a run (selWorkersLocked), also under execMu.
+	selPool []*selWorker
 }
 
 // NewEngine returns an engine with default cost parameters and one morsel

@@ -437,9 +437,8 @@ func (p *PreparedGroupAgg) Run() (*GroupResult, Explain) {
 // contract.
 func (p *PreparedGroupAgg) RunContext(ctx context.Context) (*GroupResult, Explain, error) {
 	p.e.execMu.Lock()
-	res, ex, err := p.runLocked(ctx)
-	p.e.execMu.Unlock()
-	return res, ex, err
+	defer p.e.execMu.Unlock()
+	return p.runLocked(ctx)
 }
 
 // PrepareGroupAgg compiles a group-by aggregation once, sizing each
@@ -477,6 +476,7 @@ func (e *Engine) GroupAgg(q GroupAgg) (map[int64]int64, Explain, error) {
 // PreparedScalarAgg.RunContext for the cancellation contract.
 func (e *Engine) GroupAggContext(ctx context.Context, q GroupAgg) (map[int64]int64, Explain, error) {
 	e.execMu.Lock()
+	defer e.execMu.Unlock()
 	env := e.planEnv()
 	p := lookupPlan(e, e.planGroup, q)
 	replay := p != nil && p.valid(env)
@@ -484,18 +484,14 @@ func (e *Engine) GroupAggContext(ctx context.Context, q GroupAgg) (map[int64]int
 		var err error
 		if p, err = e.compileGroupAgg(p, q, techAuto, env); err != nil {
 			dropPlan(e, e.planGroup, q)
-			e.execMu.Unlock()
 			return nil, Explain{}, err
 		}
 		cachePlan(e, &e.planGroup, q, p)
 	}
 	res, ex, err := p.runLocked(ctx)
 	if err != nil {
-		e.execMu.Unlock()
 		return nil, Explain{}, err
 	}
-	out := res.Map()
-	e.execMu.Unlock()
 	finishOneShot(&ex, replay)
-	return out, ex, nil
+	return res.Map(), ex, nil
 }

@@ -208,9 +208,8 @@ func (p *PreparedSemiJoinAgg) Run() (int64, Explain) {
 // see PreparedScalarAgg.RunContext for the cancellation contract.
 func (p *PreparedSemiJoinAgg) RunContext(ctx context.Context) (int64, Explain, error) {
 	p.e.execMu.Lock()
-	sum, ex, err := p.runLocked(ctx)
-	p.e.execMu.Unlock()
-	return sum, ex, err
+	defer p.e.execMu.Unlock()
+	return p.runLocked(ctx)
 }
 
 // PrepareSemiJoinAgg compiles a semijoin aggregation once for the caller
@@ -687,9 +686,8 @@ func (p *PreparedGroupJoinAgg) Run() (*GroupResult, Explain) {
 // see PreparedScalarAgg.RunContext for the cancellation contract.
 func (p *PreparedGroupJoinAgg) RunContext(ctx context.Context) (*GroupResult, Explain, error) {
 	p.e.execMu.Lock()
-	res, ex, err := p.runLocked(ctx)
-	p.e.execMu.Unlock()
-	return res, ex, err
+	defer p.e.execMu.Unlock()
+	return p.runLocked(ctx)
 }
 
 // PrepareGroupJoinAgg compiles a groupjoin once for the caller to keep and
@@ -714,6 +712,7 @@ func (e *Engine) GroupJoinAgg(q GroupJoinAgg) (map[int64]int64, Explain, error) 
 // PreparedScalarAgg.RunContext for the cancellation contract.
 func (e *Engine) GroupJoinAggContext(ctx context.Context, q GroupJoinAgg) (map[int64]int64, Explain, error) {
 	e.execMu.Lock()
+	defer e.execMu.Unlock()
 	env := e.planEnv()
 	p := lookupPlan(e, e.planGJoin, q)
 	replay := p != nil && p.valid(env)
@@ -721,18 +720,14 @@ func (e *Engine) GroupJoinAggContext(ctx context.Context, q GroupJoinAgg) (map[i
 		var err error
 		if p, err = e.compileGroupJoinAgg(p, q, env); err != nil {
 			dropPlan(e, e.planGJoin, q)
-			e.execMu.Unlock()
 			return nil, Explain{}, err
 		}
 		cachePlan(e, &e.planGJoin, q, p)
 	}
 	res, ex, err := p.runLocked(ctx)
 	if err != nil {
-		e.execMu.Unlock()
 		return nil, Explain{}, err
 	}
-	out := res.Map()
-	e.execMu.Unlock()
 	finishOneShot(&ex, replay)
-	return out, ex, nil
+	return res.Map(), ex, nil
 }

@@ -203,9 +203,8 @@ func (p *PreparedScalarAgg) Run() (int64, Explain) {
 // pooled resources intact for the next run.
 func (p *PreparedScalarAgg) RunContext(ctx context.Context) (int64, Explain, error) {
 	p.e.execMu.Lock()
-	sum, ex, err := p.runLocked(ctx)
-	p.e.execMu.Unlock()
-	return sum, ex, err
+	defer p.e.execMu.Unlock()
+	return p.runLocked(ctx)
 }
 
 // PrepareScalarAgg compiles a scalar aggregation once — statistics

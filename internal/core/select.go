@@ -1,28 +1,26 @@
 package core
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
+	"math/bits"
 	"sort"
-	"time"
 
 	"github.com/reprolab/swole/internal/bitmap"
 	"github.com/reprolab/swole/internal/cost"
 	"github.com/reprolab/swole/internal/expr"
+	"github.com/reprolab/swole/internal/ht"
 	"github.com/reprolab/swole/internal/storage"
-	"github.com/reprolab/swole/internal/vec"
 )
 
-// This file is the compositional executor behind the plan synthesizer: any
-// single-block SELECT — a filtered root scan, up to maxSelectEdges FK join
-// edges, multiple aggregates, GROUP BY, and HAVING — compiles into one
-// PreparedSelect husk. Each join edge resolves build rows positionally
-// through the registered foreign-key index and applies its build-side
-// predicate as a positional bitmap (Section III-D), so no hash table is
-// built. Root disjunctions choose, via the cost model, between fused
-// branchless evaluation and term-at-a-time positional-bitmap OR-combination.
+// This file compiles the generic executor behind the plan synthesizer:
+// any single-block SELECT — a filtered root scan, up to maxSelectEdges FK
+// join edges, multiple aggregates, GROUP BY, and HAVING — compiles into
+// one PreparedSelect, which runs the per-tile pipeline of selectexec.go.
+// Each join edge resolves build rows positionally through the registered
+// foreign-key index and applies its build-side predicate as a positional
+// bitmap (Section III-D), so no hash table is built. Root disjunctions
+// choose, via the cost model, between fused branchless evaluation and
+// term-at-a-time positional-bitmap OR-combination.
 
 // maxSelectEdges bounds the join edges a synthesized plan may carry.
 const maxSelectEdges = 4
@@ -132,62 +130,42 @@ type boundEdge struct {
 
 // gatherField is one joined-schema column the row stage actually reads.
 type gatherField struct {
-	at  int // index in the joined row buffer
+	at  int // index in the joined row
 	src int // -1 root, else edge index
 	col *storage.Column
 }
 
-type accSt struct {
-	sum, cnt, mn, mx int64
+// keyField is one GROUP BY column's slice of the packed group key: the
+// value minus the column's minimum, shifted into its own bit range.
+type keyField struct {
+	at    int // joined-row index
+	lo    int64
+	shift uint
+	mask  int64 // (1 << bits) - 1
 }
 
-func (a *accSt) add(v int64) {
-	a.sum += v
-	a.cnt++
-	if v < a.mn {
-		a.mn = v
-	}
-	if v > a.mx {
-		a.mx = v
-	}
+// maxPackedKeyBits bounds a packed group key. Keys stay non-negative and
+// far from ht.NullKey; wider key sets take the hashed fallback.
+const maxPackedKeyBits = 62
+
+// accumulator is one per-group accumulator slot: a rule applied to one
+// distinct aggregate argument. Aggregates sharing an argument and rule
+// (sum(x) and avg(x)) share the slot; count reads the group's tuple count.
+type accumulator struct {
+	op  ht.AccOp
+	arg int // index into PreparedSelect.args
 }
 
-func (a *accSt) finalize(k AggKind) int64 {
-	switch k {
-	case AggSum:
-		return a.sum
-	case AggCount:
-		return a.cnt
-	case AggAvg:
-		if a.cnt == 0 {
-			return 0
-		}
-		return a.sum * storage.DecimalOne / a.cnt
-	case AggMin:
-		if a.cnt == 0 {
-			return 0
-		}
-		return a.mn
-	default: // AggMax
-		if a.cnt == 0 {
-			return 0
-		}
-		return a.mx
-	}
-}
-
-type selGroup struct {
-	keys []int64
-	accs []accSt
-}
-
-// PreparedSelect is a compiled synthesized plan. It executes
-// single-threaded over the engine's column store (the fan-out machinery of
-// the degenerate shapes does not apply here) and recycles its buffers
-// across runs; RunContext is safe for concurrent use.
+// PreparedSelect is a compiled synthesized plan. Its scans run
+// morsel-parallel on the engine's persistent worker gang, a tile at a
+// time, with per-worker scratch borrowed from the engine's pool for the
+// duration of a run (selectexec.go). The returned *SelectResult is owned
+// by the plan and overwritten by its next run; RunContext is safe for
+// concurrent use.
 type PreparedSelect struct {
 	e    *Engine
 	spec Select
+	nw   int // morsel workers
 
 	root  *storage.Table
 	edges []boundEdge
@@ -197,21 +175,25 @@ type PreparedSelect struct {
 
 	rowFields fieldSchema
 	gather    []gatherField
-	groupAt   []int // joined-row index per group key
 	outFields fieldSchema
 	resFields []OutField
 
+	// Group keys: packed into one int64 when the columns' value ranges
+	// fit maxPackedKeyBits, else hashed through per-worker dictionaries.
+	keys   []keyField
+	packed bool
+
+	// Aggregates: the distinct argument trees, the accumulator slots fed
+	// from them, and each output aggregate's slot (-1 for count).
+	args    []expr.Expr
+	accs    []accumulator
+	accOps  []ht.AccOp
+	sumAccs []int // the AccSum accumulators, folded lane by lane
+	aggAcc  []int
+
 	ex Explain
 
-	// run-owned, guarded by mu
-	mu      chan struct{} // 1-slot semaphore; also the buffer guard
-	rootBM  *bitmap.Bitmap
-	cmp     []byte
-	tcmp    []byte
-	pos     [][]int32
-	rowBuf  []int64
-	keyBuf  []byte
-	evLocal *expr.Evaluator
+	selectRun
 }
 
 // PrepareSelect compiles a synthesized single-block SELECT into a reusable
@@ -229,7 +211,7 @@ func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
 	if root == nil {
 		return nil, errNoTable(q.Root)
 	}
-	p := &PreparedSelect{e: e, spec: q, root: root, mu: make(chan struct{}, 1)}
+	p := &PreparedSelect{e: e, spec: q, root: root, nw: e.workers()}
 
 	// Joined-row schema: root columns, then each edge's parent columns.
 	addCols := func(t *storage.Table) {
@@ -266,11 +248,11 @@ func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
 	}
 
 	// Root filter: bind, expose OR terms, choose the disjunction strategy.
-	params := e.Params.ForWorkers(1)
+	params := e.Params.ForWorkers(p.nw)
 	// PlanCached is baked in like the other Prepared* types: every run of
 	// this plan replays the prepare-time decision; the plan cache's first
 	// execution resets it to false.
-	p.ex = Explain{Technique: TechDataCentric, Workers: 1, PlanCached: true, Costs: map[string]float64{}}
+	p.ex = Explain{Technique: TechDataCentric, Workers: p.nw, PlanCached: true, Costs: map[string]float64{}}
 	if len(p.edges) > 0 {
 		p.ex.Technique = TechPositionalBitmap
 	}
@@ -333,27 +315,12 @@ func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
 			noteCols(q.Aggs[i].Arg)
 		}
 	}
-	colAt := func(fieldIdx int) (int, *storage.Column, error) {
-		// Recover (source, column) from the joined-schema position.
-		off := 0
-		if fieldIdx < len(root.Columns) {
-			return -1, root.Columns[fieldIdx], nil
-		}
-		off = len(root.Columns)
-		for i, be := range p.edges {
-			if fieldIdx < off+len(be.parent.Columns) {
-				return i, be.parent.Columns[fieldIdx-off], nil
-			}
-			off += len(be.parent.Columns)
-		}
-		return 0, nil, fmt.Errorf("core: joined field %d out of range", fieldIdx)
-	}
 	for name := range needed {
 		at := p.rowFields.index(name)
 		if at < 0 {
 			return nil, errNoColumn(q.Root, name)
 		}
-		src, col, err := colAt(at)
+		src, col, err := p.colAt(at)
 		if err != nil {
 			return nil, err
 		}
@@ -368,9 +335,11 @@ func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
 		if at < 0 {
 			return nil, errNoColumn(q.Root, g)
 		}
-		p.groupAt = append(p.groupAt, at)
+		p.keys = append(p.keys, keyField{at: at})
 		p.outFields = append(p.outFields, p.rowFields[at])
 	}
+	p.planKeys()
+	p.planAccs()
 	for _, a := range q.Aggs {
 		p.outFields = append(p.outFields, OutField{Name: a.As, Log: storage.LogInt})
 	}
@@ -405,15 +374,97 @@ func (e *Engine) PrepareSelect(q Select) (*PreparedSelect, error) {
 		}
 	}
 
-	p.cmp = make([]byte, vec.TileSize)
-	p.tcmp = make([]byte, vec.TileSize)
-	p.pos = make([][]int32, len(p.edges))
-	for i := range p.pos {
-		p.pos[i] = make([]int32, vec.TileSize)
-	}
-	p.rowBuf = make([]int64, len(p.rowFields))
-	p.evLocal = expr.NewEvaluator()
+	p.bindKernels()
 	return p, nil
+}
+
+// planKeys packs the GROUP BY columns into one int64, the first key in
+// the most significant bits so the packed order is the lexicographic
+// order of the key tuple. Each column contributes the bits of its value
+// range: dictionary codes span the dictionary, other columns their
+// min/max bounds. When the ranges need more than maxPackedKeyBits the
+// plan falls back to hashed composite keys.
+func (p *PreparedSelect) planKeys() {
+	total := uint(0)
+	for i := range p.keys {
+		k := &p.keys[i]
+		_, col, _ := p.colAt(k.at)
+		lo, hi := col.Bounds()
+		if col.Dict != nil {
+			lo, hi = 0, int64(col.Dict.Len()-1)
+		}
+		width := uint(bits.Len64(uint64(hi - lo)))
+		if hi < lo || width > maxPackedKeyBits {
+			total = maxPackedKeyBits + 1
+			break
+		}
+		k.lo, k.mask = lo, int64(1)<<width-1
+		total += width
+	}
+	p.packed = total <= maxPackedKeyBits
+	if !p.packed {
+		return
+	}
+	shift := total
+	for i := range p.keys {
+		k := &p.keys[i]
+		shift -= uint(bits.Len64(uint64(k.mask)))
+		k.shift = shift
+	}
+}
+
+// planAccs deduplicates the aggregate arguments (by their rendered text,
+// which identifies trees bound against the same schema) and assigns each
+// aggregate its accumulator slot.
+func (p *PreparedSelect) planAccs() {
+	argIdx := map[string]int{}
+	accIdx := map[accumulator]int{}
+	for _, a := range p.spec.Aggs {
+		var op ht.AccOp
+		switch a.Kind {
+		case AggCount:
+			p.aggAcc = append(p.aggAcc, -1)
+			continue
+		case AggMin:
+			op = ht.AccMin
+		case AggMax:
+			op = ht.AccMax
+		}
+		key := a.Arg.String()
+		ai, ok := argIdx[key]
+		if !ok {
+			ai = len(p.args)
+			argIdx[key] = ai
+			p.args = append(p.args, a.Arg)
+		}
+		acc := accumulator{op: op, arg: ai}
+		ci, ok := accIdx[acc]
+		if !ok {
+			ci = len(p.accs)
+			accIdx[acc] = ci
+			p.accs = append(p.accs, acc)
+			p.accOps = append(p.accOps, op)
+			if op == ht.AccSum {
+				p.sumAccs = append(p.sumAccs, ci)
+			}
+		}
+		p.aggAcc = append(p.aggAcc, ci)
+	}
+}
+
+// colAt recovers (source, column) from a joined-schema position.
+func (p *PreparedSelect) colAt(fieldIdx int) (int, *storage.Column, error) {
+	if fieldIdx < len(p.root.Columns) {
+		return -1, p.root.Columns[fieldIdx], nil
+	}
+	off := len(p.root.Columns)
+	for i, be := range p.edges {
+		if fieldIdx < off+len(be.parent.Columns) {
+			return i, be.parent.Columns[fieldIdx-off], nil
+		}
+		off += len(be.parent.Columns)
+	}
+	return 0, nil, fmt.Errorf("core: joined field %d out of range", fieldIdx)
 }
 
 // Explain returns the compile-time planning decision.
@@ -425,196 +476,3 @@ func (p *PreparedSelect) ResultFields() []OutField { return p.resFields }
 // Strategy returns the chosen disjunction strategy (meaningful when the
 // root filter is a disjunction).
 func (p *PreparedSelect) Strategy() cost.DisjunctionStrategy { return p.strategy }
-
-// RunContext executes the plan, honoring ctx between tile batches.
-func (p *PreparedSelect) RunContext(ctx context.Context) (*SelectResult, Explain, error) {
-	p.mu <- struct{}{}
-	defer func() { <-p.mu }()
-
-	ex := p.ex
-	start := time.Now()
-	rows := p.root.Rows()
-	ev := p.evLocal
-
-	// Phase 1: build each filtered edge's positional bitmap over the parent.
-	for i := range p.edges {
-		be := &p.edges[i]
-		if be.bm == nil {
-			continue
-		}
-		be.bm.Reset(be.parent.Rows())
-		if err := p.scanTiles(ctx, be.parent.Rows(), func(base, n int) {
-			ev.EvalBool(be.filter, base, n, p.tcmp[:n])
-			be.bm.SetFromCmp(base, p.tcmp[:n])
-		}); err != nil {
-			return nil, ex, err
-		}
-	}
-
-	// Phase 2 (term-bitmap strategy): OR each disjunct into the root bitmap
-	// term at a time, skipping tiles earlier terms already saturated.
-	if p.rootBM != nil {
-		p.rootBM.Reset(rows)
-		for _, term := range p.terms {
-			if err := p.scanTiles(ctx, rows, func(base, n int) {
-				if p.rootBM.RangeAllSet(base, n) {
-					return
-				}
-				ev.EvalBool(term, base, n, p.tcmp[:n])
-				p.rootBM.OrFromCmp(base, p.tcmp[:n])
-			}); err != nil {
-				return nil, ex, err
-			}
-		}
-	}
-
-	// Phase 3: the main scan. Each tile evaluates the root predicate (or
-	// reads the prebuilt bitmap), resolves every edge positionally and ANDs
-	// its bitmap in, then the row stage gathers referenced columns and
-	// accumulates aggregates.
-	groups := map[string]*selGroup{}
-	var order []*selGroup
-	passed := 0
-	scalarAccs := len(p.groupAt) == 0
-	if err := p.scanTiles(ctx, rows, func(base, n int) {
-		cmp := p.cmp[:n]
-		switch {
-		case p.rootBM != nil:
-			p.rootBM.ReadCmp(base, cmp)
-		case p.spec.Filter != nil:
-			ev.EvalBool(p.spec.Filter, base, n, cmp)
-		default:
-			vec.Fill(cmp, 1)
-		}
-		for i := range p.edges {
-			be := &p.edges[i]
-			pos := p.pos[i][:n]
-			if be.src < 0 {
-				for j := 0; j < n; j++ {
-					pos[j] = be.idx.Pos[base+j]
-				}
-			} else {
-				src := p.pos[be.src][:n]
-				for j := 0; j < n; j++ {
-					pos[j] = be.idx.Pos[src[j]]
-				}
-			}
-			if be.bm != nil {
-				for j := 0; j < n; j++ {
-					cmp[j] &= be.bm.TestBit(int(pos[j]))
-				}
-			}
-		}
-		passed += vec.CountMask(cmp)
-		for j := 0; j < n; j++ {
-			if cmp[j] == 0 {
-				continue
-			}
-			for _, g := range p.gather {
-				r := base + j
-				if g.src >= 0 {
-					r = int(p.pos[g.src][j])
-				}
-				p.rowBuf[g.at] = g.col.Get(r)
-			}
-			if p.spec.Residual != nil && expr.EvalRow(p.spec.Residual, p.rowBuf) == 0 {
-				continue
-			}
-			p.keyBuf = p.keyBuf[:0]
-			for _, at := range p.groupAt {
-				p.keyBuf = binary.LittleEndian.AppendUint64(p.keyBuf, uint64(p.rowBuf[at]))
-			}
-			g := groups[string(p.keyBuf)]
-			if g == nil {
-				g = newSelGroup(p, scalarAccs)
-				groups[string(p.keyBuf)] = g
-				order = append(order, g)
-			}
-			for i := range p.spec.Aggs {
-				v := int64(0)
-				if arg := p.spec.Aggs[i].Arg; arg != nil {
-					v = expr.EvalRow(arg, p.rowBuf)
-				}
-				g.accs[i].add(v)
-			}
-		}
-	}); err != nil {
-		return nil, ex, err
-	}
-
-	// A scalar aggregation over zero rows still produces one row.
-	if scalarAccs && len(order) == 0 {
-		order = append(order, newSelGroup(p, true))
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := order[a].keys, order[b].keys
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return ka[i] < kb[i]
-			}
-		}
-		return false
-	})
-
-	res := &SelectResult{Fields: p.resFields}
-	outRow := make([]int64, len(p.outFields))
-	for _, g := range order {
-		copy(outRow, g.keys)
-		for i := range g.accs {
-			outRow[len(g.keys)+i] = g.accs[i].finalize(p.spec.Aggs[i].Kind)
-		}
-		if p.spec.Having != nil && expr.EvalRow(p.spec.Having, outRow) == 0 {
-			continue
-		}
-		final := make([]int64, len(p.spec.Project))
-		for i := range p.spec.Project {
-			final[i] = expr.EvalRow(p.spec.Project[i].Expr, outRow)
-		}
-		res.Rows = append(res.Rows, final)
-	}
-
-	if rows > 0 {
-		ex.Selectivity = float64(passed) / float64(rows)
-	}
-	ex.Groups = len(res.Rows)
-	ex.ScanTime = time.Since(start)
-	return res, ex, nil
-}
-
-// newSelGroup allocates one group's key copy and accumulator row. In the
-// scalar case keys stay empty.
-func newSelGroup(p *PreparedSelect, scalar bool) *selGroup {
-	g := &selGroup{accs: make([]accSt, len(p.spec.Aggs))}
-	for i := range g.accs {
-		g.accs[i].mn = math.MaxInt64
-		g.accs[i].mx = math.MinInt64
-	}
-	if !scalar {
-		g.keys = make([]int64, len(p.groupAt))
-		for i, at := range p.groupAt {
-			g.keys[i] = p.rowBuf[at]
-		}
-	}
-	return g
-}
-
-// scanTiles drives fn over [0, rows) in vec.TileSize tiles, checking ctx
-// between batches so cancellation stays cooperative.
-func (p *PreparedSelect) scanTiles(ctx context.Context, rows int, fn func(base, n int)) error {
-	const checkEvery = 64
-	tile := 0
-	for base := 0; base < rows; base += vec.TileSize {
-		if tile%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		tile++
-		n := rows - base
-		if n > vec.TileSize {
-			n = vec.TileSize
-		}
-		fn(base, n)
-	}
-	return nil
-}

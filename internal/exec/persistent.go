@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +41,15 @@ type Workers struct {
 	// leaves the gang and the caller's per-worker state reusable.
 	stop func() bool
 
+	// failed is set by the first worker whose morsel or partition
+	// function panics; every worker stops claiming once it is set, and
+	// the Run call re-raises the recorded panic on its own goroutine after
+	// the gang has wound down, so the panic never escapes a parked worker
+	// (where nothing could recover it) and the gang stays reusable.
+	failed   atomic.Bool
+	panicMu  sync.Mutex
+	panicked *WorkerPanic
+
 	// Two-phase job state (RunTwoPhase): a non-nil p2 makes every woken
 	// worker rendezvous at bar after draining the morsel counter, then
 	// claim partition indices from next2. The barrier is what lets phase 2
@@ -51,6 +62,65 @@ type Workers struct {
 	wake []chan struct{}
 	done sync.WaitGroup
 	quit chan struct{}
+}
+
+// WorkerPanic is the value a Run call re-raises when a morsel or
+// partition function panicked on one of the gang's workers: the original
+// panic value and the stack of the worker it was raised on.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error implements error, so a caller that recovers the re-raised panic
+// can return it as one.
+func (p *WorkerPanic) Error() string { return fmt.Sprintf("panic in morsel worker: %v", p.Value) }
+
+// Unwrap exposes a panic value that was itself an error.
+func (p *WorkerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
+// recoverWorker records the first panic of a worker's share of a job. It
+// runs deferred around every drain, so a panicking worker still reports
+// done and reaches the two-phase barrier.
+func (w *Workers) recoverWorker() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	w.panicMu.Lock()
+	if w.panicked == nil {
+		w.panicked = &WorkerPanic{Value: r, Stack: debug.Stack()}
+	}
+	w.panicMu.Unlock()
+	w.failed.Store(true)
+}
+
+// drainSafe and drainPartsSafe are drain and drainParts with the panic
+// recorded instead of propagated.
+func (w *Workers) drainSafe(id int) {
+	defer w.recoverWorker()
+	w.drain(id)
+}
+
+func (w *Workers) drainPartsSafe(id int) {
+	defer w.recoverWorker()
+	w.drainParts(id)
+}
+
+// finish clears the per-job state after every worker is done and
+// re-raises a recorded worker panic on the calling goroutine.
+func (w *Workers) finish() {
+	w.fn, w.p2, w.stop = nil, nil, nil
+	if !w.failed.Load() {
+		return
+	}
+	p := w.panicked
+	w.panicked = nil
+	w.failed.Store(false)
+	panic(p)
 }
 
 // NewWorkers returns a parked gang of n workers claiming morselRows-sized
@@ -94,11 +164,11 @@ func (w *Workers) park(id int) {
 // work executes one worker's share of the posted job: the morsel phase,
 // then — for two-phase jobs — the barrier and the partition phase.
 func (w *Workers) work(id int) {
-	w.drain(id)
+	w.drainSafe(id)
 	if w.p2 != nil {
 		w.bar.Done()
 		w.bar.Wait()
-		w.drainParts(id)
+		w.drainPartsSafe(id)
 	}
 }
 
@@ -106,7 +176,7 @@ func (w *Workers) work(id int) {
 // stopped.
 func (w *Workers) drainParts(id int) {
 	for {
-		if w.stop != nil && w.stop() {
+		if w.failed.Load() || (w.stop != nil && w.stop()) {
 			return
 		}
 		i := int(w.next2.Add(1)) - 1
@@ -122,7 +192,7 @@ func (w *Workers) drainParts(id int) {
 func (w *Workers) drain(id int) {
 	m := w.morsel
 	for {
-		if w.stop != nil && w.stop() {
+		if w.failed.Load() || (w.stop != nil && w.stop()) {
 			return
 		}
 		i := int(w.next.Add(1)) - 1
@@ -162,6 +232,10 @@ func (w *Workers) Run(n int, fn func(worker, base, length int)) {
 // scan stops within one morsel per worker and returns normally — the
 // caller detects cancellation via ctx.Err() and must treat the scanned
 // partial state as garbage (it is reset by the next run).
+//
+// A panic in fn on any worker stops every worker from claiming further
+// morsels and is re-raised here, on the calling goroutine, as a
+// *WorkerPanic once the gang has wound down; the gang stays reusable.
 func (w *Workers) RunCtx(ctx context.Context, n int, fn func(worker, base, length int)) {
 	if n <= 0 {
 		return
@@ -182,11 +256,11 @@ func (w *Workers) RunCtx(ctx context.Context, n int, fn func(worker, base, lengt
 			w.wake[i] <- struct{}{}
 		}
 	}
-	w.drain(0)
+	w.drainSafe(0)
 	if active > 1 {
 		w.done.Wait()
 	}
-	w.fn, w.stop = nil, nil
+	w.finish()
 }
 
 // noopMorsel is the phase-1 stand-in for partition-only jobs (RunParts):
@@ -211,8 +285,9 @@ func (w *Workers) RunTwoPhase(n int, phase1 func(worker, base, length int), part
 
 // RunTwoPhaseCtx is RunTwoPhase with cooperative cancellation, polled
 // before every morsel and partition claim. The in-gang barrier between
-// the phases always completes — a canceled worker still reports to it —
-// so cancellation can never wedge the gang.
+// the phases always completes — a canceled or panicking worker still
+// reports to it — so neither cancellation nor a panic can wedge the gang;
+// a panic is re-raised as in RunCtx.
 func (w *Workers) RunTwoPhaseCtx(ctx context.Context, n int, phase1 func(worker, base, length int), parts int, phase2 func(worker, part int)) time.Duration {
 	if parts <= 0 {
 		w.RunCtx(ctx, n, phase1)
@@ -249,15 +324,15 @@ func (w *Workers) RunTwoPhaseCtx(ctx context.Context, n int, phase1 func(worker,
 	// Worker 0 inline, with phase-1 timing: when its barrier Wait returns,
 	// every worker has finished phase 1.
 	start := time.Now()
-	w.drain(0)
+	w.drainSafe(0)
 	w.bar.Done()
 	w.bar.Wait()
 	phase1Time := time.Since(start)
-	w.drainParts(0)
+	w.drainPartsSafe(0)
 	if active > 1 {
 		w.done.Wait()
 	}
-	w.fn, w.p2, w.stop = nil, nil, nil
+	w.finish()
 	return phase1Time
 }
 

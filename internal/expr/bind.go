@@ -77,6 +77,9 @@ func bind(e Expr, t *storage.Table) error {
 				resolveStrConst(sc, col.col.Dict)
 			}
 		}
+		if col != nil {
+			x.member = memberTable(x.List, col.col.Dict)
+		}
 		return nil
 	case *Like:
 		if err := bind(x.X, t); err != nil {
@@ -132,6 +135,29 @@ func bindStrCmp(c *Cmp) error {
 	}
 	resolveStrConst(sc, col.col.Dict)
 	return nil
+}
+
+// memberTable turns IN over a dictionary column into a code-indexed 0/1
+// table, the way Like.match does for patterns: every evaluator then tests
+// membership with one indexed load per row instead of one comparison per
+// list item. Literals absent from the dictionary (bound to code -1) and
+// integer literals outside the code range never match and set nothing.
+// It returns nil when d is nil or an item is not a literal.
+func memberTable(list []Expr, d *storage.Dict) []byte {
+	if d == nil {
+		return nil
+	}
+	member := make([]byte, d.Len())
+	for _, item := range list {
+		c, ok := constVal(item)
+		if !ok {
+			return nil
+		}
+		if c >= 0 && c < int64(len(member)) {
+			member[c] = 1
+		}
+	}
+	return member
 }
 
 func asColStr(a, b Expr) (*Col, *StrConst) {

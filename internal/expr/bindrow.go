@@ -72,6 +72,9 @@ func bindRow(e Expr, s SchemaSource) error {
 				resolveStrConst(sc, col.rowDict)
 			}
 		}
+		if col != nil {
+			x.member = memberTable(x.List, col.rowDict)
+		}
 		return nil
 	case *Like:
 		if err := bindRow(x.X, s); err != nil {
@@ -147,7 +150,7 @@ func EvalRow(e Expr, row []int64) int64 {
 		case Mul:
 			return l * r
 		default:
-			return l / r
+			return quo(l, r)
 		}
 	case *Cmp:
 		l, r := EvalRow(x.L, row), EvalRow(x.R, row)
@@ -178,6 +181,9 @@ func EvalRow(e Expr, row []int64) int64 {
 		return 0
 	case *In:
 		v := EvalRow(x.X, row)
+		if x.member != nil {
+			return int64(x.member[v])
+		}
 		for _, item := range x.List {
 			if v == EvalRow(item, row) {
 				return 1

@@ -25,7 +25,7 @@ func Eval(e Expr, row int) int64 {
 		case Mul:
 			return l * r
 		default:
-			return l / r
+			return quo(l, r)
 		}
 	case *Cmp:
 		l, r := Eval(x.L, row), Eval(x.R, row)
@@ -56,6 +56,9 @@ func Eval(e Expr, row int) int64 {
 		return 0
 	case *In:
 		v := Eval(x.X, row)
+		if x.member != nil {
+			return int64(x.member[v])
+		}
 		for _, item := range x.List {
 			if v == Eval(item, row) {
 				return 1
@@ -129,7 +132,9 @@ func (ev *Evaluator) getInt() []int64 {
 	return make([]int64, vec.TileSize)
 }
 
-func (ev *Evaluator) putInt(s []int64) { ev.intScratch = append(ev.intScratch, s) }
+// putInt and putBool return a scratch vector to its pool at full tile
+// length, whatever length the caller resliced it to.
+func (ev *Evaluator) putInt(s []int64) { ev.intScratch = append(ev.intScratch, s[:cap(s)]) }
 
 func (ev *Evaluator) getBool() []byte {
 	if n := len(ev.boolScratch); n > 0 {
@@ -140,7 +145,7 @@ func (ev *Evaluator) getBool() []byte {
 	return make([]byte, vec.TileSize)
 }
 
-func (ev *Evaluator) putBool(s []byte) { ev.boolScratch = append(ev.boolScratch, s) }
+func (ev *Evaluator) putBool(s []byte) { ev.boolScratch = append(ev.boolScratch, s[:cap(s)]) }
 
 // EvalBool evaluates a bound predicate over rows [base, base+n), writing
 // 0/1 into out[:n] — the prepass loop of Figure 1.
@@ -157,6 +162,14 @@ func (ev *Evaluator) EvalBool(e Expr, base, n int, out []byte) {
 					if col.col.Dict != nil {
 						ev.ctr.DictKeys++
 					}
+				}
+				return
+			}
+		}
+		if lc, ok := x.L.(*Col); ok {
+			if rc, ok := x.R.(*Col); ok && lc.col.CmpColInto(vec.CmpOp(x.Op), rc.col, base, n, out) {
+				if ev.ctr != nil {
+					ev.ctr.Cmp[int(lc.col.Kind)]++
 				}
 				return
 			}
@@ -202,6 +215,15 @@ func (ev *Evaluator) EvalBool(e Expr, base, n int, out []byte) {
 		ev.putInt(lo)
 		ev.putInt(hi)
 	case *In:
+		if x.member != nil {
+			if col, ok := x.X.(*Col); ok {
+				col.col.LookupInto(base, n, x.member, out)
+				if ev.ctr != nil {
+					ev.ctr.DictKeys++
+				}
+				return
+			}
+		}
 		v := ev.getInt()
 		ev.EvalInt(x.X, base, n, v)
 		for i := 0; i < n; i++ {
@@ -216,6 +238,10 @@ func (ev *Evaluator) EvalBool(e Expr, base, n int, out []byte) {
 		ev.putBool(tmp)
 		ev.putInt(v)
 	case *Like:
+		if col, ok := x.X.(*Col); ok {
+			col.col.LookupInto(base, n, x.match, out)
+			return
+		}
 		v := ev.getInt()
 		ev.EvalInt(x.X, base, n, v)
 		for i := 0; i < n; i++ {
@@ -294,9 +320,7 @@ func (ev *Evaluator) EvalInt(e Expr, base, n int, out []int64) {
 				out[i] = l[i] * r[i]
 			}
 		default:
-			for i := 0; i < n; i++ {
-				out[i] = l[i] / r[i]
-			}
+			quoInto(l[:n], r[:n], out[:n])
 		}
 		ev.putInt(l)
 		ev.putInt(r)
@@ -340,6 +364,37 @@ func (ev *Evaluator) EvalInt(e Expr, base, n int, out []int64) {
 			out[i] = int64(b[i])
 		}
 		ev.putBool(b)
+	}
+}
+
+// quo is integer division with the masked-evaluation convention every
+// evaluator in this package shares: a zero divisor yields 0 instead of
+// trapping. Tile kernels evaluate arguments on every lane of a tile,
+// including lanes the predicate rejected (value masking, key masking,
+// CASE arms), so a divisor that is zero only on rejected rows must not
+// stop the scan; a statement whose selected rows never divide by zero
+// answers exactly as under short-circuit evaluation.
+func quo(l, r int64) int64 {
+	if r == 0 {
+		return 0
+	}
+	return l / r
+}
+
+// quoInto writes quo(l[i], r[i]) into out; out may alias l or r.
+func quoInto(l, r, out []int64) {
+	if len(l) == 0 {
+		return
+	}
+	_ = r[len(l)-1]
+	_ = out[len(l)-1]
+	for i := range l {
+		d := r[i]
+		q := int64(0)
+		if d != 0 {
+			q = l[i] / d
+		}
+		out[i] = q
 	}
 }
 

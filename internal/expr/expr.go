@@ -181,10 +181,14 @@ func (b *Between) String() string {
 // Children implements Expr.
 func (b *Between) Children() []Expr { return []Expr{b.X, b.Lo, b.Hi} }
 
-// In tests membership of x in a literal list.
+// In tests membership of x in a literal list. When x binds to a string
+// column, binding also builds a code-indexed membership table, so
+// per-tuple evaluation is a single indexed load (as for Like).
 type In struct {
 	X    Expr
 	List []Expr
+
+	member []byte // bound over a dictionary column: dict-code -> 0/1
 }
 
 func (in *In) String() string {

@@ -1,15 +1,20 @@
 package ht
 
+import "math"
+
 // AggTable is a group-by aggregation hash table. Each group carries a fixed
-// number of int64 accumulators plus a tuple count, which is enough for the
-// sum/avg/count aggregates of the paper's workloads (avg = sum/count at
+// number of int64 accumulators plus a tuple count. Accumulators sum by
+// default; SetOps makes any of them keep a running min or max instead,
+// which with the count covers sum/avg/count/min/max (avg = sum/count at
 // finalization; decimals are fixed-point int64 per Section IV).
 //
 // Three features exist specifically for SWOLE:
 //
 //   - A throwaway entry reached via NullKey (key masking, Section III-B):
-//     masked tuples aggregate into Throwaway, off the main array, so the
-//     access stays cache-resident no matter how large the table grows.
+//     masked tuples aggregate into Throwaway, one row past the last slot,
+//     so the access stays cache-resident no matter how large the table
+//     grows, and tile-at-a-time updates (FoldSlots) treat it as an
+//     ordinary slot with no branch per lane.
 //   - A per-group validity flag (value masking, Section III-B): when values
 //     are masked rather than keys, every tuple performs a real lookup, so
 //     groups can be created by tuples that the predicate rejected; OR-ing
@@ -30,17 +35,21 @@ type AggTable struct {
 	state []byte
 	epoch []uint32 // slot is from the current generation iff epoch[i] == cur
 	cur   uint32   // current generation
-	accs  []int64  // capacity * nAccs, slot-major
-	count []int64
-	valid []byte
-	len   int // live groups
-	used  int // full + tombstone slots this generation; growth trigger
+	accs  []int64  // (capacity+1) * nAccs, slot-major; the last row is the throwaway
+	count []int64  // capacity+1
+	valid []byte   // capacity+1
+	len   int      // live groups
+	used  int      // full + tombstone slots this generation; growth trigger
 	mask  uint64
 
-	// Throwaway receives aggregates for NullKey lookups. Its contents are
-	// never part of a query result.
-	Throwaway      []int64
-	ThrowawayCount int64
+	// rules gives each accumulator its combine rule and the identity a
+	// fresh group starts from; nil means every accumulator sums from 0.
+	rules *accRules
+
+	// Throwaway receives aggregates for NullKey lookups: it aliases the
+	// row past the last slot, whose tuple count is Count(-1). Its contents
+	// are never part of a query result.
+	Throwaway []int64
 
 	// Probes counts total probe steps, exposed for cost-model validation.
 	Probes uint64
@@ -51,25 +60,102 @@ type AggTable struct {
 
 	// pf sinks the loads issued by Touch so they cannot be eliminated.
 	pf uint64
+
+	// The struct is padded to a whole number of cache lines. Per-worker
+	// tables are allocated back to back and each worker writes its own
+	// table's header on every lookup (Probes, used, len); a size that is
+	// not a multiple of the line would put two workers' headers on one
+	// line and make them contend for it.
+	_ [16]byte
+}
+
+// accRules are an AggTable's accumulator rules (SetOps).
+type accRules struct {
+	ops  []AccOp
+	init []int64
 }
 
 // NewAggTable returns a table with nAccs accumulators per group and room
 // for about hint groups before growing. Non-positive hints get the
 // minimum capacity.
 func NewAggTable(nAccs, hint int) *AggTable {
-	capacity := hintCap(hint)
-	return &AggTable{
-		nAccs:     nAccs,
-		cur:       1,
-		keys:      make([]int64, capacity),
-		state:     make([]byte, capacity),
-		epoch:     make([]uint32, capacity),
-		accs:      make([]int64, capacity*nAccs),
-		count:     make([]int64, capacity),
-		valid:     make([]byte, capacity),
-		mask:      uint64(capacity - 1),
-		Throwaway: make([]int64, nAccs),
+	t := &AggTable{nAccs: nAccs, cur: 1}
+	t.alloc(hintCap(hint))
+	return t
+}
+
+// alloc installs fresh arrays of the given power-of-two capacity plus the
+// throwaway row, all of it empty.
+func (t *AggTable) alloc(capacity int) {
+	t.keys = make([]int64, capacity)
+	t.state = make([]byte, capacity)
+	t.epoch = make([]uint32, capacity)
+	t.accs = make([]int64, (capacity+1)*t.nAccs)
+	t.count = make([]int64, capacity+1)
+	t.valid = make([]byte, capacity+1)
+	t.mask = uint64(capacity - 1)
+	t.Throwaway = t.accs[capacity*t.nAccs:]
+	t.initRow(capacity)
+}
+
+// sink is the throwaway row's index: one past the last slot.
+func (t *AggTable) sink() int { return len(t.keys) }
+
+// initRow resets row j's accumulators to their identities.
+func (t *AggTable) initRow(j int) {
+	row := t.accs[j*t.nAccs : (j+1)*t.nAccs]
+	if t.rules == nil {
+		for a := range row {
+			row[a] = 0
+		}
+		return
 	}
+	copy(row, t.rules.init)
+}
+
+// AccOp is how an accumulator folds values.
+type AccOp uint8
+
+// Accumulator rules.
+const (
+	AccSum AccOp = iota // running sum, identity 0
+	AccMin              // running minimum, identity math.MaxInt64
+	AccMax              // running maximum, identity math.MinInt64
+)
+
+func (op AccOp) identity() int64 {
+	switch op {
+	case AccMin:
+		return math.MaxInt64
+	case AccMax:
+		return math.MinInt64
+	}
+	return 0
+}
+
+// SetOps reshapes the table to len(ops) accumulators with the given
+// rules and empties it, keeping its slot capacity: a pooled table moves
+// between plans with different aggregate lists without reallocating
+// unless the new layout needs more accumulator space.
+func (t *AggTable) SetOps(ops []AccOp) {
+	n := len(ops)
+	t.nAccs = n
+	if t.rules == nil {
+		t.rules = &accRules{}
+	}
+	r := t.rules
+	r.ops = append(r.ops[:0], ops...)
+	r.init = r.init[:0]
+	for _, op := range ops {
+		r.init = append(r.init, op.identity())
+	}
+	need := (len(t.keys) + 1) * n
+	if cap(t.accs) < need {
+		t.accs = make([]int64, need)
+	}
+	t.accs = t.accs[:need]
+	t.Throwaway = t.accs[len(t.keys)*n:]
+	t.Reset()
 }
 
 // Reset empties the table in O(1) by advancing the generation counter,
@@ -89,10 +175,9 @@ func (t *AggTable) Reset() {
 		t.cur = 1
 	}
 	t.len, t.used = 0, 0
-	for a := range t.Throwaway {
-		t.Throwaway[a] = 0
-	}
-	t.ThrowawayCount = 0
+	t.initRow(t.sink())
+	t.count[t.sink()] = 0
+	t.valid[t.sink()] = 0
 }
 
 // setEpochForTest forces the generation counter to cur, re-stamping every
@@ -169,18 +254,7 @@ func (t *AggTable) Lookup(key int64) int {
 			} else {
 				t.used++
 			}
-			t.state[j] = slotFull
-			t.epoch[j] = t.cur
-			t.keys[j] = key
-			// Re-zero whatever a previous generation (or a tombstoned
-			// group) left in the slot.
-			t.count[j] = 0
-			t.valid[j] = 0
-			base := j * t.nAccs
-			for a := 0; a < t.nAccs; a++ {
-				t.accs[base+a] = 0
-			}
-			t.len++
+			t.insertAt(j, key)
 			return j
 		case slotTombstone:
 			if grave < 0 {
@@ -193,6 +267,22 @@ func (t *AggTable) Lookup(key int64) int {
 		}
 		i = (i + 1) & t.mask
 	}
+}
+
+// insertAt claims slot j for key as an empty group. It is kept out of
+// Lookup so the probe loop, which most lookups never leave, stays small.
+//
+//go:noinline
+func (t *AggTable) insertAt(j int, key int64) {
+	t.state[j] = slotFull
+	t.epoch[j] = t.cur
+	t.keys[j] = key
+	// Re-zero whatever a previous generation (or a tombstoned group)
+	// left in the slot.
+	t.count[j] = 0
+	t.valid[j] = 0
+	t.initRow(j)
+	t.len++
 }
 
 // Find returns the slot for key without inserting, or -2 if absent.
@@ -243,11 +333,7 @@ func (t *AggTable) Contains(key int64) bool {
 // group's tuple count once per acc==0 call. Slot -1 targets the throwaway.
 func (t *AggTable) Add(slot, acc int, v int64) {
 	if slot < 0 {
-		t.Throwaway[acc] += v
-		if acc == 0 {
-			t.ThrowawayCount++
-		}
-		return
+		slot = t.sink()
 	}
 	t.accs[slot*t.nAccs+acc] += v
 	if acc == 0 {
@@ -260,11 +346,7 @@ func (t *AggTable) Add(slot, acc int, v int64) {
 // value-masking bookkeeping step of Section III-B. m must be 0 or 1.
 func (t *AggTable) AddMasked(slot, acc int, v int64, m byte) {
 	if slot < 0 {
-		t.Throwaway[acc] += v * int64(m)
-		if acc == 0 {
-			t.ThrowawayCount += int64(m)
-		}
-		return
+		slot = t.sink()
 	}
 	t.accs[slot*t.nAccs+acc] += v * int64(m)
 	if acc == 0 {
@@ -273,18 +355,218 @@ func (t *AggTable) AddMasked(slot, acc int, v int64, m byte) {
 	t.valid[slot] |= m
 }
 
+// Slots resolves a tile of keys to slot indexes, inserting absent groups;
+// NullKey lanes (key masking) resolve to the throwaway row. If an insert
+// grows the table, the lanes resolved before it are resolved again, so
+// every returned slot stays valid until the next Lookup or Slots call and
+// FoldSlots/CountSlots can then update the tile one accumulator at a time.
+//
+// A small direct-mapped memo of recent keys short-circuits the probe for
+// repeated keys, which is every lane of a few-group aggregation.
+func (t *AggTable) Slots(keys []int64, slots []int32) {
+	const memoSize = 16
+	var memoKey [memoSize]int64
+	var memoSlot [memoSize]int32
+	for i := range memoKey {
+		memoKey[i] = NullKey
+	}
+	sink := int32(t.sink())
+	slots = slots[:len(keys)]
+	for i, k := range keys {
+		if k == NullKey {
+			slots[i] = sink
+			continue
+		}
+		m := uint64(k) % memoSize
+		if memoKey[m] == k {
+			slots[i] = memoSlot[m]
+			continue
+		}
+		g := t.Grows
+		s := int32(t.Lookup(k))
+		if t.Grows != g {
+			// The rehash moved every slot: forget the memo and resolve
+			// the earlier lanes again.
+			sink = int32(t.sink())
+			for j := range memoKey {
+				memoKey[j] = NullKey
+			}
+			for j := 0; j < i; j++ {
+				if keys[j] == NullKey {
+					slots[j] = sink
+				} else {
+					slots[j] = int32(t.Find(keys[j]))
+				}
+			}
+		}
+		memoKey[m], memoSlot[m] = k, s
+		slots[i] = s
+	}
+}
+
+// SumRows folds a tile lane by lane: for every lane i it adds vals[k][i]
+// into sum accumulator accs[k] of slots[i] and bumps the lane's tuple
+// count. The updates of one lane are independent of each other, so they
+// overlap even when consecutive lanes hit the same group — the few-group
+// case, where one loop per accumulator would serialize on a single
+// memory location. Accumulators go in passes of at most four, the widest
+// unrolled loop.
+func (t *AggTable) SumRows(slots []int32, accs []int, vals [][]int64) {
+	passes := (len(accs) + 3) / 4
+	if passes == 0 {
+		t.CountSlots(slots)
+		return
+	}
+	for p := 0; p < passes; p++ {
+		lo, hi := p*len(accs)/passes, (p+1)*len(accs)/passes
+		t.sumPass(slots, accs[lo:hi], vals[lo:hi], p == 0)
+	}
+}
+
+// sumPass is one SumRows pass over one to four accumulators; count
+// selects the pass that also bumps the tuple counts.
+func (t *AggTable) sumPass(slots []int32, accs []int, vals [][]int64, count bool) {
+	n := t.nAccs
+	m := len(slots)
+	switch len(accs) {
+	case 1:
+		a0, v0 := accs[0], vals[0][:m]
+		for i, s := range slots {
+			t.accs[int(s)*n+a0] += v0[i]
+			if count {
+				t.count[s]++
+				t.valid[s] = 1
+			}
+		}
+	case 2:
+		a0, a1 := accs[0], accs[1]
+		v0, v1 := vals[0][:m], vals[1][:m]
+		for i, s := range slots {
+			b := int(s) * n
+			t.accs[b+a0] += v0[i]
+			t.accs[b+a1] += v1[i]
+			if count {
+				t.count[s]++
+				t.valid[s] = 1
+			}
+		}
+	case 3:
+		a0, a1, a2 := accs[0], accs[1], accs[2]
+		v0, v1, v2 := vals[0][:m], vals[1][:m], vals[2][:m]
+		for i, s := range slots {
+			b := int(s) * n
+			t.accs[b+a0] += v0[i]
+			t.accs[b+a1] += v1[i]
+			t.accs[b+a2] += v2[i]
+			if count {
+				t.count[s]++
+				t.valid[s] = 1
+			}
+		}
+	default:
+		a0, a1, a2, a3 := accs[0], accs[1], accs[2], accs[3]
+		v0, v1, v2, v3 := vals[0][:m], vals[1][:m], vals[2][:m], vals[3][:m]
+		for i, s := range slots {
+			b := int(s) * n
+			t.accs[b+a0] += v0[i]
+			t.accs[b+a1] += v1[i]
+			t.accs[b+a2] += v2[i]
+			t.accs[b+a3] += v3[i]
+			if count {
+				t.count[s]++
+				t.valid[s] = 1
+			}
+		}
+	}
+}
+
+// FoldSlots folds vals[i] into accumulator acc of slots[i] under the
+// accumulator's rule, one tight loop per tile and accumulator.
+func (t *AggTable) FoldSlots(slots []int32, acc int, vals []int64) {
+	vals = vals[:len(slots)]
+	n := t.nAccs
+	op := AccSum
+	if t.rules != nil {
+		op = t.rules.ops[acc]
+	}
+	switch op {
+	case AccMin:
+		for i, s := range slots {
+			if p := &t.accs[int(s)*n+acc]; vals[i] < *p {
+				*p = vals[i]
+			}
+		}
+	case AccMax:
+		for i, s := range slots {
+			if p := &t.accs[int(s)*n+acc]; vals[i] > *p {
+				*p = vals[i]
+			}
+		}
+	default:
+		for i, s := range slots {
+			t.accs[int(s)*n+acc] += vals[i]
+		}
+	}
+}
+
+// CountSlots bumps the tuple count of every lane's slot and marks the
+// groups valid.
+func (t *AggTable) CountSlots(slots []int32) {
+	for _, s := range slots {
+		t.count[s]++
+		t.valid[s] = 1
+	}
+}
+
+// MergeGroup folds src's group at srcSlot into this table's group key —
+// counts add, accumulators combine under this table's rules, validity
+// ORs — inserting the group if absent. Worker-partial tables merge into
+// one this way after a parallel scan.
+func (t *AggTable) MergeGroup(key int64, src *AggTable, srcSlot int) {
+	j := t.Lookup(key)
+	if j < 0 {
+		j = t.sink()
+	}
+	n := t.nAccs
+	for a := 0; a < n; a++ {
+		v := src.accs[srcSlot*src.nAccs+a]
+		p := &t.accs[j*n+a]
+		op := AccSum
+		if t.rules != nil {
+			op = t.rules.ops[a]
+		}
+		switch {
+		case op == AccMin && v < *p, op == AccMax && v > *p:
+			*p = v
+		case op == AccSum:
+			*p += v
+		}
+	}
+	t.count[j] += src.count[srcSlot]
+	t.valid[j] |= src.valid[srcSlot]
+}
+
+// Merge folds every live group of src (valid or not) into this table.
+func (t *AggTable) Merge(src *AggTable) {
+	for i := range src.keys {
+		if src.live(uint64(i)) == slotFull {
+			t.MergeGroup(src.keys[i], src, i)
+		}
+	}
+}
+
 // Acc returns accumulator acc of slot (slot -1 reads the throwaway).
 func (t *AggTable) Acc(slot, acc int) int64 {
 	if slot < 0 {
-		return t.Throwaway[acc]
+		slot = t.sink()
 	}
 	return t.accs[slot*t.nAccs+acc]
 }
 
-// Count returns the tuple count of slot.
+// Count returns the tuple count of slot (slot -1 reads the throwaway).
 func (t *AggTable) Count(slot int) int64 {
 	if slot < 0 {
-		return t.ThrowawayCount
+		slot = t.sink()
 	}
 	return t.count[slot]
 }
@@ -305,10 +587,7 @@ func (t *AggTable) Delete(key int64) bool {
 				t.state[i] = slotTombstone
 				t.valid[i] = 0
 				t.count[i] = 0
-				base := int(i) * t.nAccs
-				for a := 0; a < t.nAccs; a++ {
-					t.accs[base+a] = 0
-				}
+				t.initRow(int(i))
 				t.len--
 				return true
 			}
@@ -332,16 +611,13 @@ func (t *AggTable) ForEach(includeInvalid bool, fn func(key int64, slot int)) {
 // capacity, re-inserting every live group of the current generation.
 func (t *AggTable) rehash(capacity int) {
 	old := *t
-	t.keys = make([]int64, capacity)
-	t.state = make([]byte, capacity)
-	t.epoch = make([]uint32, capacity)
 	t.cur = 1
-	t.accs = make([]int64, capacity*t.nAccs)
-	t.count = make([]int64, capacity)
-	t.valid = make([]byte, capacity)
-	t.mask = uint64(capacity - 1)
+	t.alloc(capacity)
 	t.len = 0
 	t.used = 0
+	copy(t.Throwaway, old.Throwaway)
+	t.count[t.sink()] = old.count[old.sink()]
+	t.valid[t.sink()] = old.valid[old.sink()]
 	for i := range old.keys {
 		if old.live(uint64(i)) != slotFull {
 			continue

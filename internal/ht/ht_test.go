@@ -320,7 +320,7 @@ func TestAggTableReset(t *testing.T) {
 	if tab.Cap() != capBefore {
 		t.Errorf("Reset changed capacity %d -> %d", capBefore, tab.Cap())
 	}
-	if tab.Throwaway[0] != 0 || tab.ThrowawayCount != 0 {
+	if tab.Throwaway[0] != 0 || tab.Count(-1) != 0 {
 		t.Error("Reset did not clear the throwaway entry")
 	}
 	for k := int64(0); k < 10; k++ {

@@ -122,9 +122,7 @@ func (t *AggTable) FoldPairs(keys, vals []int64) int {
 			for i := 0; i < n; i++ {
 				j := t.Lookup(keys[i])
 				if j < 0 {
-					t.Throwaway[0] += vals[i]
-					t.ThrowawayCount++
-					continue
+					j = t.sink()
 				}
 				t.accs[j] += vals[i]
 				t.count[j]++

@@ -47,6 +47,11 @@ func (c *Column) Append(vals []int64) *Column {
 		k = c.Kind
 	}
 	out := &Column{Name: c.Name, Kind: k, Log: c.Log, Dict: c.Dict}
+	if b := c.bounds.Load(); b != nil {
+		// Widen the receiver's cached bounds by the appended values (lo
+		// and hi above include 0, so they may be loose, never wrong).
+		out.bounds.Store(&[2]int64{min(b[0], lo), max(b[1], hi)})
+	}
 	n := c.Len()
 	switch k {
 	case KindInt8:

@@ -8,7 +8,10 @@
 // exploit (Section III-D).
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Kind is the physical width of a column after null suppression.
 type Kind int
@@ -82,6 +85,30 @@ type Column struct {
 	I16 []int16
 	I32 []int32
 	I64 []int64
+
+	// bounds caches [min, max] once known: set by Compress, which sees
+	// every value anyway, or computed by the first Bounds call.
+	bounds atomic.Pointer[[2]int64]
+}
+
+// Bounds returns the smallest and largest value of the column ((0, 0)
+// when it is empty). Columns are immutable, so the first call's scan is
+// cached for every later one.
+func (c *Column) Bounds() (lo, hi int64) {
+	if b := c.bounds.Load(); b != nil {
+		return b[0], b[1]
+	}
+	for i, n := 0, c.Len(); i < n; i++ {
+		v := c.Get(i)
+		if i == 0 || v < lo {
+			lo = v
+		}
+		if i == 0 || v > hi {
+			hi = v
+		}
+	}
+	c.bounds.Store(&[2]int64{lo, hi})
+	return lo, hi
 }
 
 // Len returns the number of values.
@@ -132,38 +159,43 @@ func NewInt64(name string, vals []int64, log Logical) *Column {
 // (Section IV: "null suppression for low-cardinality integer columns").
 func Compress(name string, vals []int64, log Logical) *Column {
 	lo, hi := int64(0), int64(0)
-	for _, v := range vals {
-		if v < lo {
+	for i, v := range vals {
+		if i == 0 || v < lo {
 			lo = v
 		}
-		if v > hi {
+		if i == 0 || v > hi {
 			hi = v
 		}
 	}
+	// Every width's range contains 0, so choosing the width from the
+	// exact bounds gives the same width as bounds widened to include 0.
+	c := &Column{Name: name, Log: log}
 	switch {
 	case lo >= -128 && hi <= 127:
 		out := make([]int8, len(vals))
 		for i, v := range vals {
 			out[i] = int8(v)
 		}
-		return &Column{Name: name, Kind: KindInt8, Log: log, I8: out}
+		c.Kind, c.I8 = KindInt8, out
 	case lo >= -32768 && hi <= 32767:
 		out := make([]int16, len(vals))
 		for i, v := range vals {
 			out[i] = int16(v)
 		}
-		return &Column{Name: name, Kind: KindInt16, Log: log, I16: out}
+		c.Kind, c.I16 = KindInt16, out
 	case lo >= -(1<<31) && hi <= (1<<31)-1:
 		out := make([]int32, len(vals))
 		for i, v := range vals {
 			out[i] = int32(v)
 		}
-		return &Column{Name: name, Kind: KindInt32, Log: log, I32: out}
+		c.Kind, c.I32 = KindInt32, out
 	default:
 		out := make([]int64, len(vals))
 		copy(out, vals)
-		return &Column{Name: name, Kind: KindInt64, Log: log, I64: out}
+		c.Kind, c.I64 = KindInt64, out
 	}
+	c.bounds.Store(&[2]int64{lo, hi})
+	return c
 }
 
 // NewStrings builds a dictionary-encoded string column (Section IV:
@@ -191,6 +223,7 @@ func NewStringsDict(name string, d *Dict, vals []string) (*Column, error) {
 	c := Compress(name, append(codes, widest), LogString)
 	trim(c)
 	c.Dict = d
+	c.bounds.Store(&[2]int64{0, widest})
 	return c, nil
 }
 

@@ -59,6 +59,26 @@ func (c *Column) CmpConstInto(op vec.CmpOp, k int64, base, n int, out []byte) bo
 	return true
 }
 
+// CmpColInto evaluates column[base+i] op o[base+i] into out[:n] at the
+// columns' shared native width, with no widening pass. It reports false
+// when the two columns are stored at different widths.
+func (c *Column) CmpColInto(op vec.CmpOp, o *Column, base, n int, out []byte) bool {
+	if c.Kind != o.Kind {
+		return false
+	}
+	switch c.Kind {
+	case KindInt8:
+		vec.CmpCols(op, c.I8[base:base+n], o.I8[base:base+n], out)
+	case KindInt16:
+		vec.CmpCols(op, c.I16[base:base+n], o.I16[base:base+n], out)
+	case KindInt32:
+		vec.CmpCols(op, c.I32[base:base+n], o.I32[base:base+n], out)
+	default:
+		vec.CmpCols(op, c.I64[base:base+n], o.I64[base:base+n], out)
+	}
+	return true
+}
+
 // CmpBetweenInto evaluates lo <= column[base+i] <= hi into out[:n] at the
 // column's native width. It reports false when either bound falls outside
 // the physical width.
@@ -107,5 +127,74 @@ func (c *Column) SumMaskedRange(base, n int, cmp []byte) int64 {
 		return vec.SumMaskedU(c.I32[base:base+n], cmp)
 	default:
 		return vec.SumMaskedU(c.I64[base:base+n], cmp)
+	}
+}
+
+// LookupInto maps rows [base, base+n) through a value-indexed byte table
+// into out[:n] at the column's native width: the per-row form of a
+// bind-time predicate table (LIKE patterns and IN lists over dictionary
+// codes). Every value must index the table.
+func (c *Column) LookupInto(base, n int, table []byte, out []byte) {
+	switch c.Kind {
+	case KindInt8:
+		lookup(c.I8[base:base+n], table, out)
+	case KindInt16:
+		lookup(c.I16[base:base+n], table, out)
+	case KindInt32:
+		lookup(c.I32[base:base+n], table, out)
+	default:
+		lookup(c.I64[base:base+n], table, out)
+	}
+}
+
+func lookup[T vec.Number](vals []T, table []byte, out []byte) {
+	out = out[:len(vals)]
+	for i, v := range vals {
+		out[i] = table[v]
+	}
+}
+
+// GatherInto writes column[pos[i]] widened to int64 into out[i] — the
+// positional foreign-key gather of a parent column, one load per child
+// row.
+func (c *Column) GatherInto(pos []int32, out []int64) {
+	switch c.Kind {
+	case KindInt8:
+		gather(c.I8, pos, out)
+	case KindInt16:
+		gather(c.I16, pos, out)
+	case KindInt32:
+		gather(c.I32, pos, out)
+	default:
+		gather(c.I64, pos, out)
+	}
+}
+
+func gather[T vec.Number](vals []T, pos []int32, out []int64) {
+	out = out[:len(pos)]
+	for i, p := range pos {
+		out[i] = int64(vals[p])
+	}
+}
+
+// GatherSelInto writes column[base+sel[i]] widened to int64 into out[i]
+// for the n selected tile lanes — the compacted (selection-vector) read.
+func (c *Column) GatherSelInto(base int, sel []int32, out []int64) {
+	switch c.Kind {
+	case KindInt8:
+		gatherSel(c.I8[base:], sel, out)
+	case KindInt16:
+		gatherSel(c.I16[base:], sel, out)
+	case KindInt32:
+		gatherSel(c.I32[base:], sel, out)
+	default:
+		gatherSel(c.I64[base:], sel, out)
+	}
+}
+
+func gatherSel[T vec.Number](vals []T, sel []int32, out []int64) {
+	out = out[:len(sel)]
+	for i, s := range sel {
+		out[i] = int64(vals[s])
 	}
 }

@@ -336,3 +336,32 @@ func TestTableVersion(t *testing.T) {
 		t.Fatalf("unrelated table version %d", v)
 	}
 }
+
+// TestColumnBounds checks the cached min/max: exact from Compress,
+// computed on demand for other columns, widened (never narrowed) by
+// Append, and the whole dictionary for string columns.
+func TestColumnBounds(t *testing.T) {
+	c := Compress("c", []int64{300, 120, 999}, LogInt)
+	if lo, hi := c.Bounds(); lo != 120 || hi != 999 {
+		t.Errorf("Compress bounds = [%d, %d], want [120, 999]", lo, hi)
+	}
+	a := c.Append([]int64{-5, 40})
+	if lo, hi := a.Bounds(); lo > -5 || hi < 999 {
+		t.Errorf("Append bounds = [%d, %d], must cover [-5, 999]", lo, hi)
+	}
+	raw := NewInt64("r", []int64{7, -70, 3}, LogInt)
+	if lo, hi := raw.Bounds(); lo != -70 || hi != 7 {
+		t.Errorf("lazy bounds = [%d, %d], want [-70, 7]", lo, hi)
+	}
+	if lo, hi := NewInt64("e", nil, LogInt).Bounds(); lo != 0 || hi != 0 {
+		t.Errorf("empty bounds = [%d, %d], want [0, 0]", lo, hi)
+	}
+	d := NewDict([]string{"a", "b", "c", "d"})
+	s, err := NewStringsDict("s", d, []string{"b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := s.Bounds(); lo != 0 || hi != 3 {
+		t.Errorf("dictionary column bounds = [%d, %d], want [0, 3]", lo, hi)
+	}
+}

@@ -34,6 +34,9 @@ const (
 var (
 	startDate = storage.MustParseDate("1992-01-01")
 	endDate   = storage.MustParseDate("1998-08-02")
+	// currentDate is dbgen's 1995-06-17 cut for return flags and line
+	// status, parsed once rather than per generated lineitem.
+	currentDate = storage.MustParseDate("1995-06-17")
 )
 
 // Data holds the generated tables twice: as typed slices for the
@@ -257,7 +260,7 @@ func Generate(sf float64) *Data {
 			li.ReceiptDate = append(li.ReceiptDate, ship+int32(rng.rangeIn(1, 30)))
 			// Return flag: R or A for received in the past, N otherwise
 			// (dbgen keys this off receipt date vs the 1995-06-17 cut).
-			if li.ReceiptDate[len(li.ReceiptDate)-1] <= storage.MustParseDate("1995-06-17") {
+			if li.ReceiptDate[len(li.ReceiptDate)-1] <= currentDate {
 				if rng.intn(2) == 0 {
 					liFlagStrs = append(liFlagStrs, "R")
 				} else {
@@ -266,7 +269,7 @@ func Generate(sf float64) *Data {
 			} else {
 				liFlagStrs = append(liFlagStrs, "N")
 			}
-			if ship <= storage.MustParseDate("1995-06-17") {
+			if ship <= currentDate {
 				liStatusStrs = append(liStatusStrs, "F")
 			} else {
 				liStatusStrs = append(liStatusStrs, "O")

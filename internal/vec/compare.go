@@ -1,5 +1,10 @@
 package vec
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // This file implements the "prepass" kernels (Crotty et al., Section II-A2):
 // predicates are evaluated over a full tile into a comparison vector of 0/1
 // bytes, removing the control dependency that prevents vectorization in the
@@ -179,7 +184,11 @@ func And(dst, src []byte) {
 		return
 	}
 	_ = src[len(dst)-1]
-	for i := range dst {
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])&binary.LittleEndian.Uint64(src[i:]))
+	}
+	for ; i < len(dst); i++ {
 		dst[i] &= src[i]
 	}
 }
@@ -191,7 +200,11 @@ func Or(dst, src []byte) {
 		return
 	}
 	_ = src[len(dst)-1]
-	for i := range dst {
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])|binary.LittleEndian.Uint64(src[i:]))
+	}
+	for ; i < len(dst); i++ {
 		dst[i] |= src[i]
 	}
 }
@@ -215,9 +228,13 @@ func Fill(dst []byte, v byte) {
 // CountOnes returns the number of set lanes in a comparison vector; it is
 // the tile-local selectivity numerator.
 func CountOnes(cmp []byte) int {
-	n := 0
-	for _, v := range cmp {
-		n += int(v)
+	n, i := 0, 0
+	// Lanes are 0 or 1, so a word's popcount is its lane sum.
+	for ; i+8 <= len(cmp); i += 8 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(cmp[i:]))
+	}
+	for ; i < len(cmp); i++ {
+		n += int(cmp[i])
 	}
 	return n
 }

@@ -188,13 +188,7 @@ func MulInto[T Number](vals []T, tmp []int64) {
 
 // CountMask counts the accepted lanes of a 0/1 byte mask — the measured
 // selectivity feedback the synthesized plans report in Explain.
-func CountMask(cmp []byte) int {
-	n := 0
-	for _, v := range cmp {
-		n += int(v)
-	}
-	return n
-}
+func CountMask(cmp []byte) int { return CountOnes(cmp) }
 
 // AllOnes reports whether every lane of a 0/1 byte mask is set, the
 // tile-level short circuit of term-at-a-time disjunction evaluation.

@@ -336,3 +336,28 @@ func TestMulMaskedInto(t *testing.T) {
 		t.Errorf("tmp=%v", tmp)
 	}
 }
+
+// TestMaskWordKernels checks the word-at-a-time And, Or and CountOnes
+// against byte loops at lengths that leave every possible tail.
+func TestMaskWordKernels(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		a, b := make([]byte, n), make([]byte, n)
+		for i := range a {
+			a[i] = byte((i * 7 / 3) & 1)
+			b[i] = byte((i*5 + 1) / 2 & 1)
+		}
+		and, or := append([]byte(nil), a...), append([]byte(nil), a...)
+		And(and, b)
+		Or(or, b)
+		ones := 0
+		for i := range a {
+			if and[i] != a[i]&b[i] || or[i] != a[i]|b[i] {
+				t.Fatalf("n=%d lane %d: and=%d or=%d", n, i, and[i], or[i])
+			}
+			ones += int(a[i])
+		}
+		if got := CountOnes(a); got != ones {
+			t.Fatalf("n=%d: CountOnes=%d, want %d", n, got, ones)
+		}
+	}
+}

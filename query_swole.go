@@ -48,6 +48,16 @@ type Explain struct {
 	// Merged lists attributes whose accesses were merged.
 	Merged []string
 
+	// Workers is the number of morsel workers the statement's scans ran
+	// on (0 for interpreter-fallback statements).
+	Workers int
+	// ScanTime is the wall time of the statement's parallel scan phases
+	// (filter bitmaps, partition scatter and main scan).
+	ScanTime time.Duration
+	// MergeTime is the wall time of merging the workers' partial states
+	// and materializing the answer.
+	MergeTime time.Duration
+
 	// PlanCached reports the statement was served from the plan cache:
 	// parsing, statistics, and the cost-model decision were all replayed
 	// from its first execution.
@@ -108,6 +118,9 @@ func fromCore(ex core.Explain) Explain {
 		HTBytes:       ex.HTBytes,
 		Costs:         ex.Costs,
 		Merged:        ex.Merged,
+		Workers:       ex.Workers,
+		ScanTime:      ex.ScanTime,
+		MergeTime:     ex.MergeTime,
 		PlanCached:    ex.PlanCached,
 		StatsCached:   ex.StatsCached,
 		HTGrows:       ex.HTGrows,
@@ -160,8 +173,18 @@ func (d *DB) QueryContext(ctx context.Context, q string) (*Result, Explain, erro
 	return d.query(ctx, q, true)
 }
 
-// query is the shared body of QuerySwole and QueryContext.
-func (d *DB) query(ctx context.Context, q string, copyRes bool) (*Result, Explain, error) {
+// query is the shared body of QuerySwole and QueryContext. A panic
+// anywhere in the statement's execution — including one a morsel worker
+// raised, which the worker gang re-raises on this goroutine — comes back
+// as an error naming the statement, and the statement's cached plan is
+// evicted so its next execution starts from a fresh compile.
+func (d *DB) query(ctx context.Context, q string, copyRes bool) (res *Result, ex Explain, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			d.evictStatement(q)
+			res, ex, err = nil, Explain{}, statementPanic(q, r)
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, Explain{}, err
 	}
@@ -178,12 +201,7 @@ func (d *DB) query(ctx context.Context, q string, copyRes bool) (*Result, Explai
 			return nil, Explain{}, err
 		}
 		d.storePlan(q, c)
-		c.mu.Lock()
-		res, ex, err := c.run(ctx)
-		if err == nil && copyRes {
-			res = cloneResult(&c.vres)
-		}
-		c.mu.Unlock()
+		res, ex, err := c.runLocked(ctx, copyRes)
 		if err != nil {
 			return nil, ex, err
 		}
@@ -701,28 +719,43 @@ func (d *DB) prepareShape(sig string, s queryShape) (*cachedPlan, error) {
 	for _, tn := range s.tables() {
 		c.deps = append(c.deps, tableDep{name: tn, ver: d.db.TableVersion(tn), epoch: d.shardEpoch(tn)})
 	}
-	meta, fleet := d.shardFanFor(s.tables()[0])
+	d.shardMu.RLock()
+	meta, fleet := d.shardFanLocked(s.tables()[0])
 	if _, generic := s.(*selectShape); generic {
 		meta = nil
 	}
 	if meta == nil {
+		d.shardMu.RUnlock()
 		r, err := s.prepare(d.engine)
 		if err != nil {
 			return nil, err
 		}
 		c.fan = []shardRun{{exec: r}}
 	} else {
-		for i := 0; i < meta.k; i++ {
-			r, err := s.clone().prepare(fleet[i].engine)
-			if err != nil {
-				return nil, err
-			}
-			c.fan = append(c.fan, shardRun{shard: i, exec: r, lock: meta.locks[i]})
+		// The arms compile under the read lock, so the layout and the
+		// members' cost parameters cannot change under them.
+		err := c.prepareArms(s, meta, fleet)
+		d.shardMu.RUnlock()
+		if err != nil {
+			return nil, err
 		}
 	}
 	c.vres.Fields = s.fields()
 	c.res = Result{res: &c.vres}
 	return c, nil
+}
+
+// prepareArms compiles one plan per shard of the fan-out. Callers hold
+// d.shardMu (read).
+func (c *cachedPlan) prepareArms(s queryShape, meta *tableShards, fleet []*fleetShard) error {
+	for i := 0; i < meta.k; i++ {
+		r, err := s.clone().prepare(fleet[i].engine)
+		if err != nil {
+			return err
+		}
+		c.fan = append(c.fan, shardRun{shard: i, exec: r, lock: meta.locks[i]})
+	}
+	return nil
 }
 
 func colsSubset(cols []string, t *storage.Table) bool {

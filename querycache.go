@@ -3,6 +3,7 @@ package swole
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -243,11 +244,8 @@ func (c *cachedPlan) runFan(ctx context.Context) (*Result, Explain, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			arm := &c.fan[i]
 			start := time.Now()
-			arm.lock.RLock()
-			sums[i], partials[i], _, exs[i], errs[i] = arm.exec.run(fanCtx)
-			arm.lock.RUnlock()
+			errs[i] = c.runArm(fanCtx, i, sums, partials, exs)
 			times[i] = time.Since(start)
 			if errs[i] != nil {
 				cancel() // a lost shard fails the query; stop the others
@@ -259,6 +257,11 @@ func (c *cachedPlan) runFan(ctx context.Context) (*Result, Explain, error) {
 	ex.Shape = c.shape
 	ex.ShardCount = n
 	ex.ShardTimes = append([]time.Duration(nil), times...)
+	for i := range errs {
+		if p, ok := errs[i].(*armPanic); ok {
+			panic(fmt.Errorf("shard %d: %w", c.fan[i].shard, p))
+		}
+	}
 	for i := range errs {
 		if errs[i] != nil {
 			return nil, ex, fmt.Errorf("shard %d: %w", c.fan[i].shard, errs[i])
@@ -285,6 +288,28 @@ func (c *cachedPlan) runFan(ctx context.Context) (*Result, Explain, error) {
 	ex.ShardMergeTime = time.Since(mergeStart)
 	return &c.res, ex, nil
 }
+
+// runArm executes fan arm i under its shard's read lock. The arm runs on
+// its own goroutine, so a panic there is recovered into the arm's error
+// rather than left to crash the process.
+func (c *cachedPlan) runArm(ctx context.Context, i int, sums []int64, partials []*core.GroupResult, exs []core.Explain) (err error) {
+	arm := &c.fan[i]
+	arm.lock.RLock()
+	defer arm.lock.RUnlock()
+	defer func() {
+		if r := recover(); r != nil {
+			err = &armPanic{r}
+		}
+	}()
+	sums[i], partials[i], _, exs[i], err = arm.exec.run(ctx)
+	return err
+}
+
+// armPanic carries a fan arm's panic back to the statement's goroutine,
+// which re-raises it there for DB.query to report and evict.
+type armPanic struct{ value any }
+
+func (p *armPanic) Error() string { return fmt.Sprintf("panic: %v", p.value) }
 
 // cloneResult deep-copies a materialized result into caller-owned memory,
 // detaching it from the cache entry's reused buffers. Fields are immutable
@@ -382,28 +407,71 @@ func (d *DB) cachedRun(ctx context.Context, q string, copyRes bool) (res *Result
 		d.mu.Unlock()
 		return nil, Explain{}, false, nil
 	}
+	res, ex, err = c.runLocked(ctx, copyRes)
+	return res, ex, true, err
+}
+
+// runLocked executes the entry under its lock; with copyRes the caller
+// receives a private copy of the result.
+func (c *cachedPlan) runLocked(ctx context.Context, copyRes bool) (*Result, Explain, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, ex, err = c.run(ctx)
+	res, ex, err := c.run(ctx)
 	if err != nil {
-		return nil, ex, true, err
+		return nil, ex, err
 	}
 	if copyRes {
 		res = cloneResult(&c.vres)
 	}
-	return res, ex, true, nil
+	return res, ex, nil
+}
+
+// evictStatement drops the cache entry serving q, under any spelling.
+func (d *DB) evictStatement(q string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c := d.plans[q]
+	if c == nil {
+		c = d.normPlans[normalizeQuery(q)]
+	}
+	if c != nil {
+		d.dropPlanLocked(c)
+	}
+}
+
+// statementPanic turns a panic raised while executing statement q into
+// an error naming the statement; an error panic value (such as the
+// worker gang's *exec.WorkerPanic) stays reachable through errors.As.
+func statementPanic(q string, r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("swole: statement %q failed: %w", q, err)
+	}
+	return fmt.Errorf("swole: statement %q failed: panic: %v", q, r)
 }
 
 // storePlan inserts a freshly prepared statement under both keys.
+//
+// A wholesale flush turns every cached plan's buffers (per-worker hash
+// tables sized to their group counts, bitmaps) into garbage at once. The
+// collector's next target was set while the cache was full, so left
+// alone the heap would grow to about twice the full cache before that
+// garbage is reclaimed; a background collection started at the flush
+// reclaims it while the new cache is still small, which keeps peak
+// memory near one full cache however fast statements arrive.
 func (d *DB) storePlan(q string, c *cachedPlan) {
 	d.mu.Lock()
+	flushed := false
 	if len(d.plans) >= maxCachedPlans || len(d.normPlans) >= maxCachedPlans {
 		d.plans = map[string]*cachedPlan{}
 		d.normPlans = map[string]*cachedPlan{}
+		flushed = true
 	}
 	d.plans[q] = c
 	d.normPlans[normalizeQuery(q)] = c
 	d.mu.Unlock()
+	if flushed {
+		go runtime.GC()
+	}
 }
 
 // dropPlanLocked removes every key pointing at the entry. Callers hold

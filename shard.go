@@ -353,12 +353,13 @@ func shardBounds(parts []*storage.Table) []int {
 	return bounds
 }
 
-// shardFanFor snapshots the fan-out a freshly prepared statement over
+// shardFanLocked returns the fan-out a freshly prepared statement over
 // the named driving table should use: the shard metadata and the fleet
-// prefix covering it, or nil for unsharded tables.
-func (d *DB) shardFanFor(table string) (*tableShards, []*fleetShard) {
-	d.shardMu.RLock()
-	defer d.shardMu.RUnlock()
+// prefix covering it, or nil for unsharded tables. Callers hold
+// d.shardMu (read) for as long as they use the result: the append path
+// grows the metadata in place and retunes the members' cost parameters
+// under the write lock.
+func (d *DB) shardFanLocked(table string) (*tableShards, []*fleetShard) {
 	m := d.shardMeta[table]
 	if m == nil || m.k <= 1 {
 		return nil, nil
